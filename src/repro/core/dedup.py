@@ -13,8 +13,10 @@ columns.
 
 As in the paper (footnote 2), inputs are assumed to come from an
 integer-mapped active domain; :func:`compact_key_bits` decides whether a
-relation's domain fits 64 bits, given the maximum absolute value
-observed on the EDBs (collected once at load, not per iteration).
+relation's domain fits 64 bits, given the engine's domain bound: the
+EDB maximum (observed once, on the load checkpoint) widened to the
+program's head constants. Programs whose heads compute values take the
+generic path, since no load-time bound covers them.
 """
 from __future__ import annotations
 

@@ -20,7 +20,10 @@ aggregation (CC/SSSP), and the PBME fast path for TC/SG-shaped programs
 Spark specifics: every per-iteration state frame is materialized with a
 truncated lineage (``localCheckpoint``) so plans do not grow across
 iterations, and — because the session disables automatic broadcast —
-all broadcasts are explicit OOF decisions.
+all broadcasts are explicit OOF decisions. Every row count the loop
+needs (|Rδ| for ``analyze`` and DSD, |ΔR| for termination, |R|, the EDB
+sizes and domain bounds, the final counts) is observed on the action
+that materializes the frame, so no Spark job runs just to count.
 """
 from __future__ import annotations
 
@@ -43,9 +46,11 @@ from repro.core.compiler import (
 from repro.core.dedup import dedup
 from repro.core.options import RecStepOptions
 from repro.core.setdiff import choose_set_difference, set_difference
-from repro.core.stats import StatsCollector
+from repro.core.stats import StatsCollector, observed
 from repro.datalog.analyzer import AnalyzedProgram, Stratum, analyze as analyze_program
-from repro.datalog.ast import Program, Rule
+from repro.datalog.ast import AggTerm, BinExpr, Const, Program
+
+_INTEGRAL = ("bigint", "int", "smallint", "tinyint")
 
 
 @dataclass
@@ -87,19 +92,23 @@ class RecStepEngine:
         stats = StatsCollector(opts.oof)
 
         rels: dict[str, DataFrame] = {}
-        edb_max_value: int | None = 0
+        # The compact dedup key and PBME need a bound on every value an
+        # IDB can hold: the EDB maximum, widened to the head constants;
+        # None when a negative value or a computed head value rules
+        # packing out.
+        domain_bound = _head_bound(analyzed.program)
         for pred in analyzed.edbs:
             if pred not in edb:
                 raise ValueError(f"missing EDB relation {pred!r}")
-            df = normalize_edb(edb[pred], analyzed.arities[pred]).localCheckpoint()
-            rels[pred] = df
-            stats.record(pred, df.count())
-            bound = _domain_bound(df)
-            if bound is None or edb_max_value is None:
-                edb_max_value = None  # negative ids: compact key unusable
+            rels[pred], rows, bound = _load_edb(
+                normalize_edb(edb[pred], analyzed.arities[pred])
+            )
+            stats.record(pred, rows)
+            if bound is None or domain_bound is None:
+                domain_bound = None
             else:
-                edb_max_value = max(edb_max_value, bound)
-        self._edb_max_value = edb_max_value
+                domain_bound = max(domain_bound, bound)
+        self._domain_bound = domain_bound
 
         edb_types = {
             p: tuple(
@@ -118,16 +127,15 @@ class RecStepEngine:
         try:
             # PBME fast path (Section 5.3): TC/SG-shaped program over a
             # small enough active domain.
-            if opts.pbme and edb_max_value is not None:
+            if opts.pbme and domain_bound is not None:
                 shape = pbme.match_program(analyzed)
-                if shape is not None and edb_max_value + 1 <= opts.pbme_max_vertices:
-                    out = pbme.evaluate(
-                        self.spark, shape, rels, n=int(edb_max_value) + 1
+                if shape is not None and domain_bound + 1 <= opts.pbme_max_vertices:
+                    df, rows = pbme.evaluate(
+                        self.spark, shape, rels, n=int(domain_bound) + 1
                     )
                     self.metrics.pbme_used = True
-                    for pred, df in out.items():
-                        self.metrics.final_counts[pred] = df.count()
-                    return out
+                    self.metrics.final_counts[shape.idb] = rows
+                    return {shape.idb: df}
 
             for pred in analyzed.idbs:
                 rels[pred] = self._empty(analyzed.arities[pred], types[pred])
@@ -145,7 +153,7 @@ class RecStepEngine:
                     # result in memory before handing it back.
                     df = df.localCheckpoint(eager=True)
                 out[pred] = df
-                self.metrics.final_counts[pred] = df.count()
+                self.metrics.final_counts[pred] = stats.rows(pred)
             return out
         finally:
             if self._commit_dir is not None:
@@ -160,15 +168,19 @@ class RecStepEngine:
         )
         return self.spark.createDataFrame([], schema)
 
-    def _materialize(self, df: DataFrame, name: str) -> DataFrame:
+    def _materialize(self, df: DataFrame, name: str) -> tuple[DataFrame, int]:
         """EOST on: keep in memory; EOST off: commit to Parquet and read
-        back — the per-query transaction I/O RecStep removes."""
+        back — the per-query transaction I/O RecStep removes. Returns the
+        materialized frame and its row count, observed on that action."""
+        df, obs = observed(df)
         if self.options.eost:
-            return df.localCheckpoint(eager=True)
-        assert self._commit_dir is not None
-        path = f"{self._commit_dir}/{name}_{uuid.uuid4().hex}"
-        df.write.mode("overwrite").parquet(path)
-        return self.spark.read.parquet(path)
+            out = df.localCheckpoint(eager=True)
+        else:
+            assert self._commit_dir is not None
+            path = f"{self._commit_dir}/{name}_{uuid.uuid4().hex}"
+            df.write.mode("overwrite").parquet(path)
+            out = self.spark.read.parquet(path)
+        return out, obs.get["rows"]
 
     def _uieval(
         self,
@@ -190,7 +202,7 @@ class RecStepEngine:
             for p in parts[1:]:
                 out = out.union(p)
             return out
-        materialized = [self._materialize(p, "subquery") for p in parts]
+        materialized = [self._materialize(p, "subquery")[0] for p in parts]
         out = materialized[0]
         for p in materialized[1:]:
             out = out.union(p)
@@ -200,7 +212,7 @@ class RecStepEngine:
         return dedup(
             df,
             fast=self.options.fast_dedup,
-            max_value=self._edb_max_value if self.options.fast_dedup else None,
+            max_value=self._domain_bound if self.options.fast_dedup else None,
         )
 
     def _set_diff(
@@ -225,6 +237,8 @@ class RecStepEngine:
             method=method,
             broadcast_threshold_rows=opts.broadcast_rows,
             new_rows=new_rows,
+            # OOF-NA issues no broadcast hints, OPSD's included.
+            full_rows=full_rows if opts.oof != "na" else None,
         )
 
     # -- rule evaluation --------------------------------------------------
@@ -316,8 +330,9 @@ class RecStepEngine:
                     )
                 else:
                     out = self._dedup(raw)
-                rels[pred] = self._materialize(out, pred)
-                stats.analyze(pred, rels[pred])
+                rels[pred], rows = self._materialize(out, pred)
+                stats.record(pred, rows)
+                stats.analyze(pred, rels[pred], rows)
                 self.metrics.iterations[pred] = 1
             return
 
@@ -340,19 +355,16 @@ class RecStepEngine:
                     spec.op,
                     out_type=types[pred][spec.agg_position],
                 )
-                rels[pred] = self._materialize(best, pred)
-                deltas[pred] = rels[pred]
+                rels[pred], rows = self._materialize(best, pred)
             else:
-                deduped = self._dedup(raw)
-                rels[pred] = self._materialize(deduped, pred)
-                deltas[pred] = rels[pred]
-            cnt = stats.analyze(pred, rels[pred])
-            delta_counts[pred] = cnt if cnt is not None else _count(deltas[pred])
-            # R = ΔR after iteration 0; make the size known even in
-            # OOF-NA mode (termination counting yields it for free, and
-            # DSD needs it regardless of the statistics mode).
-            stats.record(pred, delta_counts[pred])
-            stats.record(f"Δ{pred}", delta_counts[pred])
+                rels[pred], rows = self._materialize(self._dedup(raw), pred)
+            deltas[pred] = rels[pred]
+            delta_counts[pred] = rows
+            # R = ΔR after iteration 0. Its size is known in every mode
+            # (DSD and the final counts need it), analyze() or not.
+            stats.record(pred, rows)
+            stats.analyze(pred, rels[pred], rows)
+            stats.record(f"Δ{pred}", rows)
             self.metrics.iterations[pred] = 1
 
         while any(delta_counts[p] > 0 for p in preds):
@@ -362,17 +374,16 @@ class RecStepEngine:
                 )
                 raw = self._uieval(parts, analyzed.arities[pred], types[pred])
                 if pred in analyzed.meld_idbs:
-                    new_rel, delta = self._meld_step(analyzed, pred, rels[pred], raw, types)
-                    rels[pred] = new_rel
-                    deltas[pred] = delta
-                    delta_counts[pred] = _count(delta)
+                    rels[pred], rows, deltas[pred], delta_counts[pred] = self._meld_step(
+                        analyzed, pred, rels[pred], raw, types
+                    )
+                    stats.record(pred, rows)
                 else:
                     # analyze(R_t) -> dedup -> analyze(Rδ, R) -> ΔR = Rδ - R
-                    r_delta = self._dedup(raw)
-                    r_delta = self._materialize(r_delta, f"{pred}_rdelta")
-                    new_rows = stats.analyze(f"Rδ{pred}", r_delta)
-                    if new_rows is None:
-                        new_rows = _count(r_delta)
+                    r_delta, new_rows = self._materialize(
+                        self._dedup(raw), f"{pred}_rdelta"
+                    )
+                    stats.analyze(f"Rδ{pred}", r_delta, new_rows)
                     full_rows = stats.rows(pred)
                     delta = self._set_diff(
                         r_delta,
@@ -381,18 +392,15 @@ class RecStepEngine:
                         new_rows=new_rows,
                         mu_prev=mu_prev[pred],
                     )
-                    delta = self._materialize(delta, f"{pred}_delta")
-                    dcount = _count(delta)
+                    delta, dcount = self._materialize(delta, f"{pred}_delta")
                     # μ = |Rδ| / |r| where r = Rδ ∩ R = Rδ - ΔR.
                     overlap = new_rows - dcount
                     mu_prev[pred] = (new_rows / overlap) if overlap > 0 else None
                     if dcount > 0:
-                        rels[pred] = self._materialize(
+                        rels[pred], rows = self._materialize(
                             rels[pred].union(delta), pred
                         )
-                        stats.record(
-                            pred, (stats.rows(pred) or 0) + dcount
-                        )
+                        stats.record(pred, rows)
                     deltas[pred] = delta
                     delta_counts[pred] = dcount
                 stats.record(f"Δ{pred}", delta_counts[pred])
@@ -407,8 +415,9 @@ class RecStepEngine:
         current: DataFrame,
         candidates_raw: DataFrame,
         types: dict[str, tuple[str, ...]],
-    ) -> tuple[DataFrame, DataFrame]:
-        """MIN/MAX meld for recursive aggregation (CC, SSSP).
+    ) -> tuple[DataFrame, int, DataFrame, int]:
+        """MIN/MAX meld for recursive aggregation (CC, SSSP); returns the
+        new R and ΔR, each with its row count.
 
         ΔR = candidate groups whose best value strictly improves on (or
         is absent from) the current relation; R keeps one row per group
@@ -435,7 +444,7 @@ class RecStepEngine:
             improved = joined.filter(
                 F.col("__old").isNull() | (F.col(val) > F.col("__old"))
             )
-        delta = self._materialize(
+        delta, delta_rows = self._materialize(
             improved.select(*positional_columns(len(group) + 1)), f"{pred}_delta"
         )
         # Merge: groups not improved keep their old row.
@@ -443,30 +452,47 @@ class RecStepEngine:
             current.join(delta.select(*group), on=group, how="left_anti")
             .union(delta)
         )
-        new_rel = self._materialize(merged, pred)
-        return new_rel, delta
+        new_rel, rows = self._materialize(merged, pred)
+        return new_rel, rows, delta, delta_rows
 
 
-def _count(df: DataFrame) -> int:
-    return df.count()
+def _load_edb(df: DataFrame) -> tuple[DataFrame, int, int | None]:
+    """Checkpoint an EDB frame; returns it, its row count and its domain
+    bound, all observed on the checkpoint. The bound is the maximum over
+    integral columns if all are non-negative (the active-domain bound
+    the compact dedup key needs), ``None`` when any integral value is
+    negative (packing would smear sign bits), and 0 for frames without
+    integral values (nothing to pack there)."""
+    int_cols = [c for c, t in df.dtypes if t in _INTEGRAL]
+    df, obs = observed(
+        df,
+        *(F.min(c).alias(f"mn_{c}") for c in int_cols),
+        *(F.max(c).alias(f"mx_{c}") for c in int_cols),
+    )
+    df = df.localCheckpoint()
+    seen = obs.get
+    minima = [seen[f"mn_{c}"] for c in int_cols if seen[f"mn_{c}"] is not None]
+    maxima = [seen[f"mx_{c}"] for c in int_cols if seen[f"mx_{c}"] is not None]
+    if minima and min(minima) < 0:
+        return df, seen["rows"], None
+    return df, seen["rows"], int(max(maxima, default=0))
 
 
-def _domain_bound(df: DataFrame) -> int | None:
-    """Max value over integral columns if all are non-negative (the
-    active-domain bound the compact dedup key needs); ``None`` when any
-    integral value is negative (packing would smear sign bits). Frames
-    without integral columns report 0 (nothing to pack there)."""
-    int_cols = [c for c, t in df.dtypes if t in ("bigint", "int", "smallint", "tinyint")]
-    if not int_cols:
-        return 0
-    aggs = []
-    for c in int_cols:
-        aggs += [F.max(F.col(c)).alias(f"mx_{c}"), F.min(F.col(c)).alias(f"mn_{c}")]
-    row = df.agg(*aggs).collect()[0].asDict()
-    maxima = [row[f"mx_{c}"] for c in int_cols if row[f"mx_{c}"] is not None]
-    minima = [row[f"mn_{c}"] for c in int_cols if row[f"mn_{c}"] is not None]
-    if not maxima:
-        return 0
-    if min(minima) < 0:
+def _head_bound(program: Program) -> int | None:
+    """Largest integer constant a rule head emits (0 if none). ``None``
+    if one is negative, or if a head computes a value — arithmetic or a
+    COUNT/SUM aggregate — since no load-time bound covers those."""
+    consts = []
+    for rule in program.rules:
+        for t in rule.head.terms:
+            if isinstance(t, AggTerm):
+                if t.op in ("COUNT", "SUM"):
+                    return None
+                t = t.expr
+            if isinstance(t, BinExpr):
+                return None
+            if isinstance(t, Const):
+                consts.append(t.value)
+    if consts and min(consts) < 0:
         return None
-    return int(max(maxima))
+    return max(consts, default=0)

@@ -33,6 +33,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.stats import observed
 from repro.datalog.analyzer import AnalyzedProgram
 from repro.datalog.ast import Atom, Condition, Var
 
@@ -322,11 +323,14 @@ def evaluate(
     rels: dict[str, DataFrame],
     *,
     n: int,
-) -> dict[str, DataFrame]:
-    """Engine entry point: dispatch the matched shape."""
+) -> tuple[DataFrame, int]:
+    """Engine entry point: dispatch the matched shape; returns the
+    checkpointed result for ``shape.idb`` and its row count, observed on
+    that checkpoint."""
     arc_df = rels[shape.edb]
     if shape.kind == "tc":
         out = pbme_tc(spark, arc_df, n)
     else:
         out = pbme_sg(spark, arc_df, n)
-    return {shape.idb: out.localCheckpoint()}
+    out, obs = observed(out)
+    return out.localCheckpoint(), obs.get["rows"]

@@ -11,9 +11,10 @@ Semi-naive evaluation computes ``ΔR = Rδ - R`` every iteration (Algorithm
 
 In Spark the "build side" choice is expressed with broadcast hints: TPSD
 broadcasts Rδ for the intersection probe (hash on Rδ, stream R) and
-broadcasts r for the final anti join; OPSD is a plain shuffled anti join
-(both sides shuffled, hash effectively on the R side). Broadcasts are
-only hinted when the row counts say the side fits (`broadcast_rows`).
+broadcasts r for the final anti join; OPSD broadcasts R — the paper's
+hash table on R — when OOF knows |R| and it fits, and is a shuffled anti
+join (both sides shuffled) otherwise. Broadcasts are only hinted when
+the row counts say the side fits (`broadcast_rows`).
 
 ``choose_set_difference`` implements the Appendix A cost model with
 parameters α (build/probe ratio), β = |R|/|Rδ| and μ = |Rδ|/|r|
@@ -36,9 +37,11 @@ class SetDiffDecision:
     reason: str = ""
 
 
-def opsd(new: DataFrame, full: DataFrame) -> DataFrame:
-    """One-Phase Set Difference: ``new - full`` as a single anti join."""
-    return new.join(full, on=new.columns, how="left_anti")
+def opsd(new: DataFrame, full: DataFrame, *, broadcast_full: bool = False) -> DataFrame:
+    """One-Phase Set Difference: ``new - full`` as a single anti join,
+    with the hash table on ``full`` when ``broadcast_full``."""
+    build = F.broadcast(full) if broadcast_full else full
+    return new.join(build, on=new.columns, how="left_anti")
 
 
 def tpsd(
@@ -91,11 +94,19 @@ def set_difference(
     method: str,
     broadcast_threshold_rows: int | None = None,
     new_rows: int | None = None,
+    full_rows: int | None = None,
 ) -> DataFrame:
-    """Run the chosen translation; TPSD broadcast hints are suppressed
-    when Rδ is known to exceed the broadcast threshold."""
+    """Run the chosen translation. OPSD broadcasts R only when
+    ``full_rows`` is known and within the broadcast threshold; TPSD
+    broadcast hints are suppressed when Rδ is known to exceed it."""
     if method == "opsd":
-        return opsd(new, full)
+        return opsd(
+            new,
+            full,
+            broadcast_full=full_rows is not None
+            and broadcast_threshold_rows is not None
+            and full_rows <= broadcast_threshold_rows,
+        )
     bc = True
     if broadcast_threshold_rows is not None and new_rows is not None:
         bc = new_rows <= broadcast_threshold_rows

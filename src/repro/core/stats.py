@@ -3,27 +3,43 @@
 In RecStep the interpreter calls ``analyze()`` on updated tables at
 chosen breakpoints so the next query is planned with fresh statistics.
 The Catalyst analogue implemented here: a :class:`StatsCollector` tracks
-per-relation row counts (refreshed by explicit ``analyze`` calls, i.e.
-Spark ``count()`` actions on in-memory data) and the compiler consults
-them to broadcast-hint the small side of each join — the equivalent of
-"build the hash table on the smaller table". The same counts drive the
-DSD cost model and the dedup pre-allocation approximation.
+per-relation row counts and the compiler consults them to
+broadcast-hint the small side of each join — the equivalent of "build
+the hash table on the smaller table". The same counts drive the DSD cost
+model and OPSD's broadcast of R.
+
+Row counts cost no Spark job of their own: the engine materializes every
+frame it analyzes, and :func:`observed` attaches a ``count`` (plus any
+other aggregate, e.g. the EDB domain bounds) to that materializing
+action as a ``pyspark.sql.Observation``. ``analyze`` takes the count so
+observed instead of scanning the frame again.
 
 Modes (Figure 2):
 
-- ``oof``  — collect exactly what each decision needs: row counts of
-  updated/new tables only;
-- ``na``   — collect nothing; the same (static) plan runs every
-  iteration and no broadcast hints are issued;
-- ``fa``   — collect the *full* statistics set (count + per-column
-  min/max/avg) on every updated table, reproducing OOF-FA's overhead.
+- ``oof``  — keep exactly what each decision needs: the observed row
+  counts of updated/new tables;
+- ``na``   — keep nothing; the same (static) plan runs every iteration
+  and no broadcast hints are issued;
+- ``fa``   — collect the *full* statistics set (per-column min/max/avg)
+  on every updated table with an extra scan, reproducing OOF-FA's
+  overhead.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
+
+
+def observed(df: DataFrame, *exprs: Column) -> tuple[DataFrame, Observation]:
+    """``df`` with its row count (as ``"rows"``) and ``exprs`` observed.
+
+    The returned observation's ``get`` holds the values once an action
+    has run the returned frame — no separate job computes them.
+    """
+    obs = Observation()
+    return df.observe(obs, F.count(F.lit(1)).alias("rows"), *exprs), obs
 
 
 @dataclass
@@ -45,20 +61,21 @@ class StatsCollector:
             raise ValueError(f"invalid OOF mode {mode!r}")
         self.mode = mode
         self.tables: dict[str, TableStats] = {}
-        #: how many analyze() actions ran (tests assert OOF-NA runs none)
+        #: analyze() steps taken: one per call, plus one per OOF-FA column
+        #: scan (tests assert OOF-NA takes none)
         self.analyze_calls = 0
 
     @property
     def enabled(self) -> bool:
         return self.mode != "na"
 
-    def analyze(self, name: str, df: DataFrame) -> int | None:
-        """Collect statistics for ``df`` under ``name``; returns the row
-        count (None in "na" mode, where no action is run)."""
+    def analyze(self, name: str, df: DataFrame, rows: int) -> int | None:
+        """Keep statistics for ``df`` under ``name``, whose row count
+        ``rows`` the materializing action observed; returns it (None in
+        "na" mode, which keeps nothing)."""
         if self.mode == "na":
             return None
         self.analyze_calls += 1
-        rows = df.count()
         stats = TableStats(rows=rows)
         if self.mode == "fa" and rows > 0:
             # Full analysis: per-column min/max/avg — the paper's OOF-FA
@@ -89,9 +106,3 @@ class StatsCollector:
     def rows(self, name: str) -> int | None:
         st = self.tables.get(name)
         return st.rows if st else None
-
-    def dedup_preallocation(self, name: str, memory_budget_rows: int = 1 << 30) -> int | None:
-        """The paper's dedup estimate: min(available memory, table size)
-        instead of an expensive count-distinct."""
-        rows = self.rows(name)
-        return None if rows is None else min(rows, memory_budget_rows)

@@ -162,11 +162,11 @@ class TestSingleRuleCompilation:
 
 class TestBroadcastHints:
     def test_small_side_broadcast_in_plan(self, spark, rels):
-        r, _, _ = rels
+        r, e_pdf, f_pdf = rels
         rule = parse_rule("p(x, z) :- e(x, y), f(y, z).")
         stats = StatsCollector("oof")
-        stats.analyze("e", r["e"])
-        stats.analyze("f", r["f"])
+        stats.analyze("e", r["e"], len(e_pdf))
+        stats.analyze("f", r["f"], len(f_pdf))
         body = compile_rule_body(rule, r, stats=stats, broadcast_rows=100)
         plan = body._jdf.queryExecution().executedPlan().toString()
         assert "Broadcast" in plan

@@ -12,6 +12,7 @@ from repro import synth_data
 from repro.baselines import souffle_like
 from repro.core import RecStepEngine, RecStepOptions
 from repro.datalog import analyze, programs
+from repro.datalog.parser import parse_program
 from repro.oracle import assert_equivalent
 
 from helpers import CSDA_SQL, REACH_SQL, TC_SQL, ref_components_min, ref_sssp
@@ -163,6 +164,30 @@ class TestOptionAblations:
         expected = reference("andersen", edb)["pointsTo"]
         assert_equivalent(out["pointsTo"], "SELECT * FROM expected", expected=expected)
 
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_counts_come_from_materializing_actions(self, spark, monkeypatch, name):
+        """No bookkeeping ``count()`` job: every size the engine uses,
+        final counts included, is observed on the action that
+        materializes the frame — the Parquet commit of EOST-off too."""
+        runs = [
+            ("tc", {"arc": GRAPH}),
+            ("csda", synth_data.csda_input(scale=1, seed=2, depth=4)),
+        ]
+        frame_type = type(spark.range(1))
+        count = frame_type.count
+        calls = []
+        monkeypatch.setattr(frame_type, "count", lambda df: calls.append(df) or count(df))
+        results = []
+        for program, pdfs in runs:
+            eng = RecStepEngine(spark, self.CONFIGS[name])
+            out = eng.evaluate(programs.get_program(program), spark_edb(spark, pdfs))
+            results.append((eng.metrics.final_counts, out))
+        monkeypatch.undo()
+        assert calls == []
+        for final_counts, out in results:
+            for pred, df in out.items():
+                assert final_counts[pred] == df.count()
+
     def test_oof_na_runs_no_analyze(self, spark):
         eng = RecStepEngine(spark, RecStepOptions(oof="na"))
         eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
@@ -220,3 +245,23 @@ class TestEngineContract:
         out = engine.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": arc}))
         got = sorted(map(tuple, out["tc"].collect()))
         assert got == [(-3, -2), (-3, -1), (-2, -1)]
+
+
+class TestFastDedupDomainBound:
+    """The compact key's bit budget must cover every value an IDB can
+    hold, not only the EDB's: otherwise keys collide and tuples vanish."""
+
+    E = pd.DataFrame({"src": [0, 3], "dst": [1, 0]})
+
+    @pytest.mark.parametrize(
+        "second_rule, expected_extra",
+        [
+            ("q(4, y) :- e(z, y).", [(4, 0), (4, 1)]),  # head constant
+            ("q(x + 4, y) :- e(x, y).", [(4, 1), (7, 0)]),  # head arithmetic
+        ],
+    )
+    def test_no_tuple_lost(self, spark, engine, second_rule, expected_extra):
+        program = parse_program("q(x, y) :- e(x, y).\n" + second_rule)
+        out = engine.evaluate(program, spark_edb(spark, {"e": self.E}))
+        got = sorted(map(tuple, out["q"].collect()))
+        assert got == sorted([(0, 1), (3, 0)] + expected_extra)

@@ -104,6 +104,7 @@ class TestPbmeResults:
             programs.get_program("tc"), {"arc": spark.createDataFrame(arc)}
         )
         assert eng.metrics.pbme_used
+        assert eng.metrics.final_counts["tc"] == out["tc"].count()
         assert_equivalent(out["tc"], TC_SQL, arc=arc)
 
     def test_engine_skips_pbme_when_domain_too_large(self, spark):

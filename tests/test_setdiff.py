@@ -89,18 +89,27 @@ class TestTranslationsAgree:
         assert got == [(1, 10), (3, 30)]
 
     def test_set_difference_dispatch(self, frames):
+        """Both translations give Rδ - R. OPSD broadcasts R only when |R|
+        is known and within the threshold (3 here); TPSD's hints follow
+        |Rδ| only. Otherwise the joins are shuffled."""
         new, full = frames
-        for method in ("opsd", "tpsd"):
-            got = sorted(
-                map(
-                    tuple,
-                    set_difference(
-                        new, full, method=method,
-                        broadcast_threshold_rows=2, new_rows=4,
-                    ).collect(),
-                )
+        for method, new_rows, full_rows, broadcast in [
+            ("opsd", 4, 3, True),
+            ("opsd", 4, None, False),  # |R| unknown: OOF-NA
+            ("opsd", 2, 4, False),
+            ("tpsd", 2, None, True),
+            ("tpsd", 4, 3, False),
+        ]:
+            out = set_difference(
+                new, full, method=method,
+                broadcast_threshold_rows=3, new_rows=new_rows, full_rows=full_rows,
             )
-            assert got == [(1, 10), (3, 30)]
+            plan = out._jdf.queryExecution().executedPlan().toString()
+            case = (method, new_rows, full_rows)
+            assert "LeftAnti" in plan, case
+            assert ("BroadcastHashJoin" in plan) == broadcast, case
+            assert ("SortMergeJoin" in plan) != broadcast, case
+            assert sorted(map(tuple, out.collect())) == [(1, 10), (3, 30)], case
 
     def test_disjoint_inputs(self, spark):
         new = spark.createDataFrame(pd.DataFrame({"c0": [1], "c1": [1]}))
