@@ -17,7 +17,7 @@ CONFIGS = {
     "no_uie": RecStepOptions().without("uie"),
     "oof_na": RecStepOptions().without("oof"),
     "oof_fa": RecStepOptions().without("oof-fa"),
-    "no_dsd": RecStepOptions(dsd=False, static_setdiff="opsd"),
+    "no_dsd": RecStepOptions().without("dsd"),
     "no_eost": RecStepOptions().without("eost"),
     "no_fast_dedup": RecStepOptions().without("fast_dedup"),
     "all_off": RecStepOptions.all_off(),

@@ -10,7 +10,6 @@ Usage: ``spark-submit jobs/ablation_optimizations.py [scale]``
 """
 import sys
 import time
-from pathlib import Path
 
 from pyspark.sql import SparkSession
 
@@ -66,8 +65,7 @@ def main(spark: SparkSession, scale: float = 0.5) -> dict[str, float]:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
-    from _session import build_session
+    from repro.session import build_session
 
     spark = build_session("ablation-optimizations")
     main(spark, float(sys.argv[1]) if len(sys.argv) > 1 else 0.5)

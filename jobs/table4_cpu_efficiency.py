@@ -108,8 +108,7 @@ def format_table(results: dict) -> str:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
-    from _session import build_session
+    from repro.session import build_session
 
     spark = build_session("table4-cpu-efficiency")
     out = main(spark, sys.argv[1:] or None)

@@ -40,7 +40,6 @@ BIGDATALOG_OPTIONS = RecStepOptions(
     uie=False,
     oof="na",
     dsd=False,
-    static_setdiff="opsd",
     eost=True,
     fast_dedup=False,
     pbme=False,

@@ -16,7 +16,9 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.compiler import (
     apply_aggregation,
+    column_types,
     compile_rule_body,
+    empty_relation,
     normalize_edb,
     project_head,
 )
@@ -45,20 +47,9 @@ class NaiveEngine:
         rels: dict[str, DataFrame] = {}
         for pred in analyzed.edbs:
             rels[pred] = normalize_edb(edb[pred], analyzed.arities[pred]).localCheckpoint()
-        edb_types = {
-            p: tuple(
-                "double" if t in ("double", "float") else "long"
-                for _, t in rels[p].dtypes
-            )
-            for p in analyzed.edbs
-        }
-        types = analyzed.infer_types(edb_types)
+        types = analyzed.infer_types({p: column_types(rels[p]) for p in analyzed.edbs})
         for pred in analyzed.idbs:
-            schema = ", ".join(
-                f"c{i} {'DOUBLE' if types[pred][i] == 'double' else 'BIGINT'}"
-                for i in range(analyzed.arities[pred])
-            )
-            rels[pred] = self.spark.createDataFrame([], schema)
+            rels[pred] = empty_relation(self.spark, types[pred])
 
         for stratum in analyzed.strata:
             preds = sorted(stratum.predicates)

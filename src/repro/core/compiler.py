@@ -239,6 +239,22 @@ def _spark_type(name: str) -> str:
     return {"long": "bigint", "double": "double", "string": "string"}[name]
 
 
+def column_types(df: DataFrame) -> tuple[str, ...]:
+    """The type name of each column as the analyzer types relations:
+    ``"double"`` for floating point, ``"string"`` for strings, ``"long"``
+    for everything else."""
+    return tuple(
+        "double" if t in ("double", "float") else "string" if t == "string" else "long"
+        for _, t in df.dtypes
+    )
+
+
+def empty_relation(spark, types: tuple[str, ...]) -> DataFrame:
+    """An empty relation with positional columns of the given types."""
+    schema = ", ".join(f"c{i} {_spark_type(t)}" for i, t in enumerate(types))
+    return spark.createDataFrame([], schema)
+
+
 _AGG_FN = {
     "MIN": F.min,
     "MAX": F.max,

@@ -1,21 +1,26 @@
 """The RecStep interpreter: Algorithm 1 of the paper on Spark SQL.
 
-Per stratum (in stratification order), semi-naive evaluation:
+One semi-naive loop per stratum (in stratification order), shared by
+set and MIN/MAX-meld semantics; iteration 0 is the same step over every
+rule, and a non-recursive stratum is iteration 0 alone:
 
-    repeat
+    first <- true
+    while first or (stratum is recursive and some ΔR ≠ ∅):
       for each IDB R in the stratum:
-        R_t  <- uieval(rules(R, s))        # UIE: one unioned plan
-        analyze(R_t)                       # OOF breakpoint
-        Rδ   <- dedup(R_t)                 # FAST-DEDUP
-        analyze(Rδ, R)                     # OOF breakpoint
-        ΔR   <- Rδ - R                     # DSD: OPSD or TPSD
-        R    <- R ∪ ΔR
-    until ∀R: ΔR = ∅
+        R_t <- uieval(rules(R))       # UIE; Δ-rewrites after iteration 0
+        C   <- dedup(R_t)             # FAST-DEDUP (a meld skips it)
+        C   <- aggregate(C)           # aggregate IDBs only
+        if first:   R <- ΔR <- C; analyze(R)
+        elif meld:  ΔR <- groups of C that improve on R; R <- R ⊕ ΔR
+        else:       Rδ <- C; analyze(Rδ)       # OOF breakpoint
+                    ΔR <- Rδ - R               # DSD: OPSD or TPSD
+                    R  <- R ∪ ΔR
+      first <- false
 
-plus the EOST materialization policy (in-memory ``localCheckpoint`` vs
-per-iteration Parquet commit), MIN/MAX meld semantics for recursive
-aggregation (CC/SSSP), and the PBME fast path for TC/SG-shaped programs
-(Section 5.3).
+The meld (R ⊕ ΔR keeps each group's best value) is the recursive
+aggregation of CC/SSSP. Around the loop: the EOST materialization policy
+(in-memory ``localCheckpoint`` vs per-iteration Parquet commit) and the
+PBME fast path for TC/SG-shaped programs (Section 5.3).
 
 Spark specifics: every per-iteration state frame is materialized with a
 truncated lineage (``localCheckpoint``) so plans do not grow across
@@ -38,7 +43,9 @@ from pyspark.sql import functions as F
 from repro.core import pbme
 from repro.core.compiler import (
     apply_aggregation,
+    column_types,
     compile_rule_body,
+    empty_relation,
     normalize_edb,
     positional_columns,
     project_head,
@@ -110,19 +117,9 @@ class RecStepEngine:
                 domain_bound = max(domain_bound, bound)
         self._domain_bound = domain_bound
 
-        edb_types = {
-            p: tuple(
-                "double" if t in ("double", "float") else ("string" if t == "string" else "long")
-                for _, t in rels[p].dtypes
-            )
-            for p in analyzed.edbs
-        }
-        types = analyzed.infer_types(edb_types)
+        types = analyzed.infer_types({p: column_types(rels[p]) for p in analyzed.edbs})
 
-        if opts.eost:
-            self._commit_dir = None
-        else:
-            self._commit_dir = tempfile.mkdtemp(prefix="recstep_commits_")
+        self._commit_dir = None if opts.eost else tempfile.mkdtemp(prefix="recstep_commits_")
 
         try:
             # PBME fast path (Section 5.3): TC/SG-shaped program over a
@@ -138,7 +135,7 @@ class RecStepEngine:
                     return {shape.idb: df}
 
             for pred in analyzed.idbs:
-                rels[pred] = self._empty(analyzed.arities[pred], types[pred])
+                rels[pred] = empty_relation(self.spark, types[pred])
                 stats.record(pred, 0)
 
             for stratum in analyzed.strata:
@@ -161,13 +158,6 @@ class RecStepEngine:
                 self._commit_dir = None
 
     # -- helpers ---------------------------------------------------------
-    def _empty(self, arity: int, types: tuple[str, ...]) -> DataFrame:
-        schema = ", ".join(
-            f"c{i} {'DOUBLE' if types[i] == 'double' else 'BIGINT'}"
-            for i in range(arity)
-        )
-        return self.spark.createDataFrame([], schema)
-
     def _materialize(self, df: DataFrame, name: str) -> tuple[DataFrame, int]:
         """EOST on: keep in memory; EOST off: commit to Parquet and read
         back — the per-query transaction I/O RecStep removes. Returns the
@@ -182,12 +172,7 @@ class RecStepEngine:
             out = self.spark.read.parquet(path)
         return out, obs.get["rows"]
 
-    def _uieval(
-        self,
-        parts: list[DataFrame],
-        arity: int,
-        types: tuple[str, ...],
-    ) -> DataFrame:
+    def _uieval(self, parts: list[DataFrame], types: tuple[str, ...]) -> DataFrame:
         """UNION ALL of the subqueries deriving one IDB.
 
         UIE on: a single lazy unioned plan, evaluated as one query (all
@@ -196,110 +181,47 @@ class RecStepEngine:
         with its own overhead), then the results are appended.
         """
         if not parts:
-            return self._empty(arity, types)
-        if self.options.uie:
-            out = parts[0]
-            for p in parts[1:]:
-                out = out.union(p)
-            return out
-        materialized = [self._materialize(p, "subquery")[0] for p in parts]
-        out = materialized[0]
-        for p in materialized[1:]:
+            return empty_relation(self.spark, types)
+        if not self.options.uie:
+            parts = [self._materialize(p, "subquery")[0] for p in parts]
+        out = parts[0]
+        for p in parts[1:]:
             out = out.union(p)
         return out
 
-    def _dedup(self, df: DataFrame) -> DataFrame:
-        return dedup(
-            df,
-            fast=self.options.fast_dedup,
-            max_value=self._domain_bound if self.options.fast_dedup else None,
-        )
-
-    def _set_diff(
-        self,
-        new: DataFrame,
-        full: DataFrame,
-        *,
-        full_rows: int | None,
-        new_rows: int | None,
-        mu_prev: float | None,
-    ) -> DataFrame:
-        opts = self.options
-        if opts.dsd and full_rows is not None and new_rows is not None:
-            decision = choose_set_difference(full_rows, new_rows, opts.alpha, mu_prev)
-            method = decision.method
-        else:
-            method = opts.static_setdiff
-        self.metrics.setdiff_choices.append(method)
-        return set_difference(
-            new,
-            full,
-            method=method,
-            broadcast_threshold_rows=opts.broadcast_rows,
-            new_rows=new_rows,
-            # OOF-NA issues no broadcast hints, OPSD's included.
-            full_rows=full_rows if opts.oof != "na" else None,
-        )
-
     # -- rule evaluation --------------------------------------------------
-    def _eval_rules_full(
+    def _eval_rules(
         self,
-        analyzed: AnalyzedProgram,
-        pred: str,
-        rels: dict[str, DataFrame],
-        stats: StatsCollector,
-        types: dict[str, tuple[str, ...]],
-    ) -> list[DataFrame]:
-        """All rules for ``pred`` with current relation values (used for
-        non-recursive strata and for iteration 0 of recursive strata)."""
-        parts = []
-        for rule in analyzed.program.rules_for(pred):
-            body = compile_rule_body(
-                rule, rels, stats=stats, broadcast_rows=self.options.broadcast_rows
-            )
-            parts.append(
-                project_head(rule, body, types=types[pred], spark=self.spark)
-            )
-        return parts
-
-    def _eval_rules_delta(
-        self,
-        analyzed: AnalyzedProgram,
         stratum: Stratum,
         pred: str,
         rels: dict[str, DataFrame],
-        deltas: dict[str, DataFrame],
-        delta_counts: dict[str, int],
         stats: StatsCollector,
         types: dict[str, tuple[str, ...]],
+        deltas: dict[str, DataFrame] | None,
     ) -> list[DataFrame]:
-        """Semi-naive Δ-rewrites: one subquery per same-stratum body atom
-        (the union-of-subqueries construction of Section 3.2 / Figure 4)."""
+        """The subqueries deriving ``pred``. With ``deltas=None``, every
+        rule over the current relations. Otherwise the semi-naive
+        Δ-rewrites: one subquery per same-stratum body atom whose ΔR is in
+        ``deltas`` (the non-empty ones), the union-of-subqueries
+        construction of Section 3.2 / Figure 4."""
         parts = []
         for rule in stratum.rules:
             if rule.head.pred != pred:
                 continue
-            rec_positions = [
-                i
-                for i, a in enumerate(rule.positive_body)
-                if a.pred in stratum.predicates
-            ]
-            for i in rec_positions:
-                atom_pred = rule.positive_body[i].pred
-                if delta_counts.get(atom_pred) == 0:
-                    continue
+            if deltas is None:
+                rewrites = [{}]
+            else:
+                rewrites = [
+                    {"delta_idx": i, "delta": deltas[a.pred], "delta_name": f"Δ{a.pred}"}
+                    for i, a in enumerate(rule.positive_body)
+                    if a.pred in deltas
+                ]
+            for rewrite in rewrites:
                 body = compile_rule_body(
-                    rule,
-                    rels,
-                    delta_idx=i,
-                    delta=deltas[atom_pred],
-                    delta_name=f"Δ{atom_pred}",
-                    stats=stats,
-                    broadcast_rows=self.options.broadcast_rows,
+                    rule, rels, stats=stats, broadcast_rows=self.options.broadcast_rows,
+                    **rewrite,
                 )
-                parts.append(
-                    project_head(rule, body, types=types[pred], spark=self.spark)
-                )
+                parts.append(project_head(rule, body, types=types[pred], spark=self.spark))
         return parts
 
     # -- strata -------------------------------------------------------------
@@ -311,113 +233,111 @@ class RecStepEngine:
         stats: StatsCollector,
         types: dict[str, tuple[str, ...]],
     ) -> None:
-        preds = sorted(stratum.predicates)
-        opts = self.options
-
-        if not stratum.recursive:
-            for pred in preds:
-                parts = self._eval_rules_full(analyzed, pred, rels, stats, types)
-                raw = self._uieval(parts, analyzed.arities[pred], types[pred])
+        """Algorithm 1 on one stratum. Iteration 0 evaluates every rule
+        over the current relations and takes the candidates as both R and
+        ΔR; a non-recursive stratum stops there. Each later iteration
+        evaluates the Δ-rewrites and folds the candidates into R with set
+        (:meth:`_set_step`) or meld (:meth:`_meld_step`) semantics, until
+        every ΔR of the stratum is empty."""
+        deltas: dict[str, DataFrame] = {}  # the non-empty ΔR of the last step
+        mu_prev: dict[str, float | None] = {}
+        first = True
+        while first or (stratum.recursive and deltas):
+            for pred in sorted(stratum.predicates):
+                parts = self._eval_rules(
+                    stratum, pred, rels, stats, types, None if first else deltas
+                )
+                raw = self._uieval(parts, types[pred])
+                # Candidates: deduplicated tuples for set IDBs; one row per
+                # group with its best value for aggregates (a meld takes
+                # MIN/MAX over every derivation, so it skips the dedup).
+                cand = raw if pred in analyzed.meld_idbs else dedup(
+                    raw, fast=self.options.fast_dedup, max_value=self._domain_bound
+                )
                 if pred in analyzed.agg_specs:
                     spec = analyzed.agg_specs[pred]
-                    pre = self._dedup(raw)
-                    out = apply_aggregation(
-                        pre,
+                    cand = apply_aggregation(
+                        cand,
                         spec.group_positions,
                         spec.agg_position,
                         spec.op,
                         out_type=types[pred][spec.agg_position],
                     )
+                if first:
+                    rels[pred], rows = self._materialize(cand, pred)
+                    delta, delta_rows = rels[pred], rows
+                elif pred in analyzed.meld_idbs:
+                    rels[pred], rows, delta, delta_rows = self._meld_step(
+                        analyzed, pred, rels[pred], cand
+                    )
                 else:
-                    out = self._dedup(raw)
-                rels[pred], rows = self._materialize(out, pred)
+                    rels[pred], rows, delta, delta_rows = self._set_step(
+                        pred, rels[pred], cand, stats, mu_prev
+                    )
+                # |R| is known in every OOF mode: DSD and the final counts
+                # need it, analyze() or not.
                 stats.record(pred, rows)
-                stats.analyze(pred, rels[pred], rows)
-                self.metrics.iterations[pred] = 1
-            return
-
-        # --- recursive stratum -------------------------------------------
-        deltas: dict[str, DataFrame] = {}
-        delta_counts: dict[str, int] = {}
-        mu_prev: dict[str, float | None] = {p: None for p in preds}
-
-        # Iteration 0: same-stratum IDBs are empty, so only exit rules
-        # contribute; R = ΔR = dedup(base facts).
-        for pred in preds:
-            parts = self._eval_rules_full(analyzed, pred, rels, stats, types)
-            raw = self._uieval(parts, analyzed.arities[pred], types[pred])
-            if pred in analyzed.meld_idbs:
-                spec = analyzed.agg_specs[pred]
-                best = apply_aggregation(
-                    raw,
-                    spec.group_positions,
-                    spec.agg_position,
-                    spec.op,
-                    out_type=types[pred][spec.agg_position],
-                )
-                rels[pred], rows = self._materialize(best, pred)
-            else:
-                rels[pred], rows = self._materialize(self._dedup(raw), pred)
-            deltas[pred] = rels[pred]
-            delta_counts[pred] = rows
-            # R = ΔR after iteration 0. Its size is known in every mode
-            # (DSD and the final counts need it), analyze() or not.
-            stats.record(pred, rows)
-            stats.analyze(pred, rels[pred], rows)
-            stats.record(f"Δ{pred}", rows)
-            self.metrics.iterations[pred] = 1
-
-        while any(delta_counts[p] > 0 for p in preds):
-            for pred in preds:
-                parts = self._eval_rules_delta(
-                    analyzed, stratum, pred, rels, deltas, delta_counts, stats, types
-                )
-                raw = self._uieval(parts, analyzed.arities[pred], types[pred])
-                if pred in analyzed.meld_idbs:
-                    rels[pred], rows, deltas[pred], delta_counts[pred] = self._meld_step(
-                        analyzed, pred, rels[pred], raw, types
-                    )
-                    stats.record(pred, rows)
-                else:
-                    # analyze(R_t) -> dedup -> analyze(Rδ, R) -> ΔR = Rδ - R
-                    r_delta, new_rows = self._materialize(
-                        self._dedup(raw), f"{pred}_rdelta"
-                    )
-                    stats.analyze(f"Rδ{pred}", r_delta, new_rows)
-                    full_rows = stats.rows(pred)
-                    delta = self._set_diff(
-                        r_delta,
-                        rels[pred],
-                        full_rows=full_rows,
-                        new_rows=new_rows,
-                        mu_prev=mu_prev[pred],
-                    )
-                    delta, dcount = self._materialize(delta, f"{pred}_delta")
-                    # μ = |Rδ| / |r| where r = Rδ ∩ R = Rδ - ΔR.
-                    overlap = new_rows - dcount
-                    mu_prev[pred] = (new_rows / overlap) if overlap > 0 else None
-                    if dcount > 0:
-                        rels[pred], rows = self._materialize(
-                            rels[pred].union(delta), pred
-                        )
-                        stats.record(pred, rows)
+                if first:
+                    stats.analyze(pred, rels[pred], rows)
+                stats.record(f"Δ{pred}", delta_rows)
+                if delta_rows:
                     deltas[pred] = delta
-                    delta_counts[pred] = dcount
-                stats.record(f"Δ{pred}", delta_counts[pred])
-                self.metrics.iterations[pred] += 1
+                else:
+                    deltas.pop(pred, None)
+                self.metrics.iterations[pred] = self.metrics.iterations.get(pred, 0) + 1
+            first = False
 
-        self.metrics.analyze_calls = stats.analyze_calls
+    def _set_step(
+        self,
+        pred: str,
+        current: DataFrame,
+        cand: DataFrame,
+        stats: StatsCollector,
+        mu_prev: dict[str, float | None],
+    ) -> tuple[DataFrame, int, DataFrame, int]:
+        """Set semantics: Rδ = dedup'd candidates, analyze(Rδ, R), ΔR =
+        Rδ - R (DSD: OPSD or TPSD), R ∪ ΔR; returns the new R and ΔR, each
+        with its row count. Updates ``mu_prev[pred]`` for the next DSD
+        decision."""
+        opts = self.options
+        r_delta, new_rows = self._materialize(cand, f"{pred}_rdelta")
+        stats.analyze(f"Rδ{pred}", r_delta, new_rows)
+        full_rows = stats.rows(pred)
+        if opts.dsd:
+            method = choose_set_difference(
+                full_rows, new_rows, opts.alpha, mu_prev.get(pred)
+            ).method
+        else:
+            method = "opsd"
+        self.metrics.setdiff_choices.append(method)
+        delta = set_difference(
+            r_delta,
+            current,
+            method=method,
+            broadcast_threshold_rows=opts.broadcast_rows,
+            new_rows=new_rows,
+            # OOF-NA issues no broadcast hints, OPSD's included.
+            full_rows=full_rows if opts.oof != "na" else None,
+        )
+        delta, delta_rows = self._materialize(delta, f"{pred}_delta")
+        # μ = |Rδ| / |r| where r = Rδ ∩ R = Rδ - ΔR.
+        overlap = new_rows - delta_rows
+        mu_prev[pred] = (new_rows / overlap) if overlap > 0 else None
+        if delta_rows == 0:
+            return current, full_rows, delta, 0
+        merged, rows = self._materialize(current.union(delta), pred)
+        return merged, rows, delta, delta_rows
 
     def _meld_step(
         self,
         analyzed: AnalyzedProgram,
         pred: str,
         current: DataFrame,
-        candidates_raw: DataFrame,
-        types: dict[str, tuple[str, ...]],
+        cand: DataFrame,
     ) -> tuple[DataFrame, int, DataFrame, int]:
-        """MIN/MAX meld for recursive aggregation (CC, SSSP); returns the
-        new R and ΔR, each with its row count.
+        """MIN/MAX meld for recursive aggregation (CC, SSSP) over the
+        aggregated candidates; returns the new R and ΔR, each with its
+        row count.
 
         ΔR = candidate groups whose best value strictly improves on (or
         is absent from) the current relation; R keeps one row per group
@@ -427,13 +347,6 @@ class RecStepEngine:
         spec = analyzed.agg_specs[pred]
         val = f"c{spec.agg_position}"
         group = [f"c{i}" for i in spec.group_positions]
-        cand = apply_aggregation(
-            candidates_raw,
-            spec.group_positions,
-            spec.agg_position,
-            spec.op,
-            out_type=types[pred][spec.agg_position],
-        )
         old = current.withColumnRenamed(val, "__old")
         joined = cand.join(old, on=group, how="left")
         if spec.op == "MIN":
@@ -461,8 +374,9 @@ def _load_edb(df: DataFrame) -> tuple[DataFrame, int, int | None]:
     bound, all observed on the checkpoint. The bound is the maximum over
     integral columns if all are non-negative (the active-domain bound
     the compact dedup key needs), ``None`` when any integral value is
-    negative (packing would smear sign bits), and 0 for frames without
-    integral values (nothing to pack there)."""
+    negative (packing would smear sign bits) or any column holds strings
+    (no integer domain to pack or to index a bit matrix with), and 0 for
+    frames without integral values (nothing to pack there)."""
     int_cols = [c for c, t in df.dtypes if t in _INTEGRAL]
     df, obs = observed(
         df,
@@ -473,7 +387,7 @@ def _load_edb(df: DataFrame) -> tuple[DataFrame, int, int | None]:
     seen = obs.get
     minima = [seen[f"mn_{c}"] for c in int_cols if seen[f"mn_{c}"] is not None]
     maxima = [seen[f"mx_{c}"] for c in int_cols if seen[f"mx_{c}"] is not None]
-    if minima and min(minima) < 0:
+    if "string" in column_types(df) or (minima and min(minima) < 0):
         return df, seen["rows"], None
     return df, seen["rows"], int(max(maxima, default=0))
 

@@ -28,7 +28,7 @@ class RecStepOptions:
         min/max/avg too), reproducing the paper's OOF-FA overhead.
     dsd:
         Dynamic Set Difference — choose OPSD/TPSD per iteration with the
-        Appendix A cost model (True) or always use ``static_setdiff``.
+        Appendix A cost model (True) or always use OPSD (False).
     eost:
         Evaluation as One Single Transaction — keep all iteration state
         in memory (``localCheckpoint``) and only deliver results at the
@@ -47,8 +47,6 @@ class RecStepOptions:
         OOF join-side decision: a relation whose latest analyzed row
         count is below this is broadcast-hinted (the Catalyst analogue of
         "build the hash table on the smaller side").
-    static_setdiff:
-        Translation used when ``dsd`` is off: ``"opsd"`` or ``"tpsd"``.
     pbme_max_vertices:
         PBME applies only if two n×n bit matrices fit comfortably in
         memory (paper: "only if the memory available can fit the bit
@@ -63,14 +61,11 @@ class RecStepOptions:
     pbme: bool = False
     alpha: float = 2.0
     broadcast_rows: int = 200_000
-    static_setdiff: str = "opsd"
     pbme_max_vertices: int = 20_000
 
     def __post_init__(self) -> None:
         if self.oof not in ("oof", "na", "fa"):
             raise ValueError(f"oof mode must be oof/na/fa, got {self.oof!r}")
-        if self.static_setdiff not in ("opsd", "tpsd"):
-            raise ValueError(f"static_setdiff must be opsd/tpsd, got {self.static_setdiff!r}")
         if self.alpha <= 1.0:
             raise ValueError("alpha must exceed 1 (building costs more than probing)")
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro import synth_data
 from repro.baselines import souffle_like
+from repro.baselines.naive import NaiveEngine
 from repro.core import RecStepEngine, RecStepOptions
 from repro.datalog import analyze, programs
 from repro.datalog.parser import parse_program
@@ -20,6 +21,9 @@ from helpers import CSDA_SQL, REACH_SQL, TC_SQL, ref_components_min, ref_sssp
 
 GRAPH = synth_data.gnp_arcs(n=40, p=0.05, seed=11)
 CHAIN = pd.DataFrame({"src": range(9), "dst": range(1, 10)})
+WEIGHTED = synth_data.add_weights(synth_data.rmat_arcs(n=32, edge_factor=4, seed=2), seed=2)
+SOURCE = int(WEIGHTED["src"].iloc[0])
+SSSP_EDB = {"arc": WEIGHTED, "id": pd.DataFrame({"v": [SOURCE]})}
 
 
 @pytest.fixture(scope="module")
@@ -104,16 +108,9 @@ class TestAggregationPrograms:
         assert [tuple(r) for r in out["cc"].collect()] == [(0,)]
 
     def test_sssp_matches_dijkstra(self, spark, engine):
-        arc = synth_data.add_weights(
-            synth_data.rmat_arcs(n=32, edge_factor=4, seed=2), seed=2
-        )
-        source = int(arc["src"].iloc[0])
-        out = engine.evaluate(
-            programs.get_program("sssp"),
-            spark_edb(spark, {"arc": arc, "id": pd.DataFrame({"v": [source]})}),
-        )
+        out = engine.evaluate(programs.get_program("sssp"), spark_edb(spark, SSSP_EDB))
         got = {int(r["c0"]): float(r["c1"]) for r in out["sssp"].collect()}
-        assert got == pytest.approx(ref_sssp(arc, source))
+        assert got == pytest.approx(ref_sssp(WEIGHTED, SOURCE))
 
     def test_tc_count(self, spark, engine):
         out = engine.evaluate(
@@ -142,8 +139,7 @@ class TestOptionAblations:
         "no_uie": RecStepOptions().without("uie"),
         "oof_na": RecStepOptions().without("oof"),
         "oof_fa": RecStepOptions().without("oof-fa"),
-        "no_dsd_opsd": RecStepOptions(dsd=False, static_setdiff="opsd"),
-        "no_dsd_tpsd": RecStepOptions(dsd=False, static_setdiff="tpsd"),
+        "no_dsd_opsd": RecStepOptions().without("dsd"),
         "no_eost": RecStepOptions().without("eost"),
         "no_fast_dedup": RecStepOptions().without("fast_dedup"),
     }
@@ -163,6 +159,60 @@ class TestOptionAblations:
         out = eng.evaluate(programs.get_program("andersen"), spark_edb(spark, edb))
         expected = reference("andersen", edb)["pointsTo"]
         assert_equivalent(out["pointsTo"], "SELECT * FROM expected", expected=expected)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("program", ["cc", "sssp", "tc_count"])
+    def test_aggregates_same_result(self, spark, program, name):
+        """MIN/MAX melds (CC, SSSP) and a non-recursive COUNT after a
+        recursive stratum (tc_count) take the same step as set IDBs."""
+        eng = RecStepEngine(spark, self.CONFIGS[name])
+        pdfs = {"cc": {"arc": GRAPH}, "sssp": SSSP_EDB, "tc_count": {"arc": CHAIN}}[program]
+        out = eng.evaluate(programs.get_program(program), spark_edb(spark, pdfs))
+        if program == "cc":
+            got = {int(r["c0"]): int(r["c1"]) for r in out["cc3"].collect()}
+            assert got == ref_components_min(GRAPH)
+        elif program == "sssp":
+            got = {int(r["c0"]): float(r["c1"]) for r in out["sssp"].collect()}
+            assert got == pytest.approx(ref_sssp(WEIGHTED, SOURCE))
+        else:
+            got = {int(r["c0"]): int(r["c1"]) for r in out["gtc"].collect()}
+            assert got == {i: 9 - i for i in range(9)}
+
+    #: (localCheckpoint calls, Parquet commits) per evaluation: EDB loads,
+    #: the per-iteration Rδ / ΔR / R (or meld ΔR / R) materializations,
+    #: UIE-off subqueries, and EOST-off's final in-memory pin. all_off
+    #: commits every materialization but the EDB loads and the pin.
+    MATERIALIZATIONS = {
+        "all_on": {"tc": (28, 0), "cc": (24, 0), "tc_count": (29, 0),
+                   "csda": (11, 0), "sssp": (18, 0)},
+        "all_off": {"tc": (2, 38), "cc": (4, 37), "tc_count": (3, 40),
+                    "csda": (3, 14), "sssp": (4, 26)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(MATERIALIZATIONS))
+    def test_materializations_per_evaluation(self, spark, monkeypatch, name):
+        runs = {
+            "tc": ("tc", {"arc": CHAIN}),
+            "cc": ("cc", {"arc": CHAIN}),
+            "tc_count": ("tc_count", {"arc": CHAIN}),
+            "csda": ("csda", synth_data.csda_input(scale=1, seed=2, depth=4)),
+            "sssp": ("sssp", SSSP_EDB),
+        }
+        frame_type = type(spark.range(1))
+        writer_type = type(spark.range(1).write)
+        checkpoint, parquet = frame_type.localCheckpoint, writer_type.parquet
+        calls = []
+        monkeypatch.setattr(frame_type, "localCheckpoint",
+                            lambda df, *a, **kw: calls.append("lc") or checkpoint(df, *a, **kw))
+        monkeypatch.setattr(writer_type, "parquet",
+                            lambda w, *a, **kw: calls.append("pq") or parquet(w, *a, **kw))
+        got = {}
+        for run, (program, pdfs) in runs.items():
+            edb = spark_edb(spark, pdfs)
+            calls.clear()
+            RecStepEngine(spark, self.CONFIGS[name]).evaluate(programs.get_program(program), edb)
+            got[run] = (calls.count("lc"), calls.count("pq"))
+        assert got == self.MATERIALIZATIONS[name]
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_counts_come_from_materializing_actions(self, spark, monkeypatch, name):
@@ -208,7 +258,7 @@ class TestOptionAblations:
         assert "opsd" in eng.metrics.setdiff_choices
 
     def test_static_setdiff_never_switches(self, spark):
-        eng = RecStepEngine(spark, RecStepOptions(dsd=False, static_setdiff="opsd"))
+        eng = RecStepEngine(spark, RecStepOptions(dsd=False))
         eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
         assert set(eng.metrics.setdiff_choices) == {"opsd"}
 
@@ -239,6 +289,19 @@ class TestEngineContract:
     def test_final_counts_metric(self, spark, engine):
         engine.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
         assert engine.metrics.final_counts["tc"] == 45
+
+    @pytest.mark.parametrize("make_engine", [
+        lambda spark: RecStepEngine(spark, RecStepOptions()),
+        lambda spark: RecStepEngine(spark, RecStepOptions(pbme=True)),
+        NaiveEngine,
+    ], ids=["recstep", "recstep_pbme", "naive"])
+    def test_string_valued_edb(self, spark, make_engine):
+        # Strings type the IDBs as strings, and rule out the compact key
+        # and PBME, which need an integer domain.
+        arc = spark.createDataFrame(pd.DataFrame({"src": ["a", "b"], "dst": ["b", "c"]}))
+        out = make_engine(spark).evaluate(programs.get_program("tc"), {"arc": arc})
+        got = sorted(map(tuple, out["tc"].collect()))
+        assert got == [("a", "b"), ("a", "c"), ("b", "c")]
 
     def test_negative_ids_supported_via_generic_dedup(self, spark, engine):
         arc = pd.DataFrame({"src": [-3, -2], "dst": [-2, -1]})

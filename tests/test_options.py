@@ -19,10 +19,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="oof"):
             RecStepOptions(oof="full")
 
-    def test_bad_static_setdiff(self):
-        with pytest.raises(ValueError, match="static_setdiff"):
-            RecStepOptions(static_setdiff="threephase")
-
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ValueError, match="alpha"):
             RecStepOptions(alpha=1.0)

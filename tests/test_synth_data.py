@@ -106,15 +106,3 @@ class TestProgramAnalysisInputs:
         edb = synth_data.csda_input(scale=1, depth=20)
         heads = set(range(0, 20 * 20, 20))
         assert set(edb["nullEdge"]["src"]).issubset(heads)
-
-
-class TestSparkWrappers:
-    def test_to_spark(self, spark):
-        pdf = synth_data.gnp_arcs(n=10, p=0.3, seed=0)
-        df = synth_data.to_spark(spark, pdf)
-        assert df.count() == len(pdf)
-
-    def test_provided_tpch_lite_still_works(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        assert li.count() > 0
-        assert "l_orderkey" in li.columns
